@@ -45,7 +45,7 @@ use mahimahi_core::{
 };
 use mahimahi_dag::DagBuilder;
 use mahimahi_net::time::{self, Time};
-use mahimahi_node::{LocalCluster, LoopbackCluster, LoopbackConfig, TxClient};
+use mahimahi_node::{LocalCluster, LoopbackCluster, LoopbackConfig, NodeConfig, TxClient};
 use mahimahi_sim::LatencyStats;
 use mahimahi_telemetry::{Stage, StageSnapshot};
 use mahimahi_types::{Decode, Encode, Envelope, TestCommittee, Transaction, TxReceipt, TxVerdict};
@@ -702,6 +702,10 @@ fn verify_stage_phase(quick: bool) -> VerifyReport {
 fn tcp_load_phase(args: &Args) -> PhaseReport {
     use std::time::{Duration, Instant};
     let cluster = LocalCluster::start(NODES, 0x7cb).expect("cluster starts");
+    // The cluster's nodes run `NodeConfig::local`, so that is their pool.
+    let capacity = NodeConfig::local(0, TestCommittee::new(NODES, 0x7cb))
+        .mempool
+        .capacity_txs as u64;
     let mut clients: Vec<TxClient> = (0..NODES)
         .map(|validator| TxClient::connect(cluster.address(validator)).expect("client connects"))
         .collect();
@@ -790,6 +794,11 @@ fn tcp_load_phase(args: &Args) -> PhaseReport {
     if !stages.all_stages_populated() {
         violations.push("commit-path stage histograms left empty (tcp)".into());
     }
+    if peak > capacity {
+        violations.push(format!(
+            "peak mempool occupancy {peak} exceeds capacity {capacity} (tcp)"
+        ));
+    }
     PhaseReport {
         offered_tps: args.rate_per_validator * NODES as u64,
         committed,
@@ -797,7 +806,7 @@ fn tcp_load_phase(args: &Args) -> PhaseReport {
         latency,
         stages: Some(stages),
         peak_occupancy: peak,
-        capacity: u64::MAX,
+        capacity,
         rejected_full,
         violations,
     }

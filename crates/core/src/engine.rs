@@ -1246,7 +1246,8 @@ impl ValidatorEngine {
 
     /// The execution state root after every sub-DAG committed so far. Two
     /// correct validators with equal commit logs report equal roots — the
-    /// `state-root-agreement` oracle's invariant.
+    /// `state-root-agreement` oracle's invariant. Computed on read: it
+    /// encodes and hashes the whole execution snapshot.
     pub fn state_root(&self) -> StateRoot {
         self.execution.state_root()
     }
@@ -1628,8 +1629,8 @@ impl ValidatorEngine {
     /// execution state exactly at the boundary.
     fn emit_checkpoint(&mut self, snapshot: SequencerSnapshot, outputs: &mut Vec<Output>) {
         let authority = self.config.authority;
-        let state_root = self.execution.state_root();
         let execution = self.execution.snapshot();
+        let state_root = StateRoot(blake2b_256(&execution));
         let resume = snapshot.to_bytes_vec();
         debug_assert_eq!(blake2b_256(&resume), snapshot.digest());
         let checkpoint = Checkpoint::sign(

@@ -16,10 +16,14 @@
 //! therefore equal [`StateRoot`]s — the `state-root-agreement` oracle in
 //! `mahimahi-scenarios` enforces exactly this across every matrix cell.
 //!
-//! The root must commit to the snapshot: `state_root() ==
-//! H(snapshot())`. State-sync relies on it — a joining validator verifies
-//! a quorum-certified root, then checks the snapshot it downloaded hashes
-//! to that root before restoring.
+//! The root is `H(snapshot())`, computed on read by the provided
+//! [`state_root`](ExecutionState::state_root): `apply` only folds state,
+//! so per-commit work never grows with the ledger. Roots are read where
+//! something consumes them — checkpoint boundaries (which hash the one
+//! snapshot they persist), `ValidatorEngine::state_root`, and the
+//! simulator's final roots. State-sync relies on the same identity: a
+//! joining validator verifies a quorum-certified root, then checks the
+//! snapshot it downloaded hashes to that root before restoring.
 //!
 //! [`BalanceLedger`] is the reference implementation: a toy
 //! account-balance machine that credits block authors and transaction
@@ -41,14 +45,17 @@ use std::collections::BTreeMap;
 /// [`restore`](ExecutionState::restore) with a snapshot whose hash
 /// matches a quorum-certified root.
 pub trait ExecutionState: Send {
-    /// Applies one committed sub-DAG and returns the new state root.
+    /// Applies one committed sub-DAG.
     ///
     /// Must be deterministic: equal prior state + equal sub-DAG ⇒ equal
-    /// root at every validator.
-    fn apply(&mut self, sub_dag: &CommittedSubDag) -> StateRoot;
+    /// snapshot at every validator.
+    fn apply(&mut self, sub_dag: &CommittedSubDag);
 
-    /// The current state root. Must equal `H(self.snapshot())`.
-    fn state_root(&self) -> StateRoot;
+    /// The current state root, `H(self.snapshot())`. Encodes the whole
+    /// state: call it where a root is read, never per commit.
+    fn state_root(&self) -> StateRoot {
+        StateRoot(blake2b_256(&self.snapshot()))
+    }
 
     /// Canonical byte encoding of the full state (for checkpoints and
     /// state-sync). Equal states must produce identical bytes.
@@ -77,9 +84,8 @@ pub const BLOCK_REWARD: u64 = 1_000;
 /// saturate at `u64::MAX` — saturation is itself deterministic, so two
 /// validators saturate identically.
 ///
-/// The root is the BLAKE2b-256 hash of the canonical snapshot encoding
-/// (account/balance pairs in ascending account order), so
-/// `state_root() == H(snapshot())` as the trait requires.
+/// The snapshot is the account/balance pairs in ascending account order;
+/// its root is the trait's `H(snapshot())`.
 ///
 /// Slashing ([`BalanceLedger::slash`]) burns an account's whole balance
 /// and is intended for *hooks and operators*, not the consensus path:
@@ -121,7 +127,7 @@ impl BalanceLedger {
 }
 
 impl ExecutionState for BalanceLedger {
-    fn apply(&mut self, sub_dag: &CommittedSubDag) -> StateRoot {
+    fn apply(&mut self, sub_dag: &CommittedSubDag) {
         for block in &sub_dag.blocks {
             self.credit(u64::from(block.author().0), BLOCK_REWARD);
             for transaction in block.transactions() {
@@ -129,11 +135,6 @@ impl ExecutionState for BalanceLedger {
                 self.credit(transaction.digest().prefix_u64(), amount);
             }
         }
-        self.state_root()
-    }
-
-    fn state_root(&self) -> StateRoot {
-        StateRoot(blake2b_256(&self.snapshot()))
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -200,7 +201,7 @@ mod tests {
     fn apply_credits_authors_and_transactions() {
         let sub_dag = sample_sub_dag();
         let mut ledger = BalanceLedger::new();
-        let root = ledger.apply(&sub_dag);
+        ledger.apply(&sub_dag);
         for authority in 0..4u64 {
             assert_eq!(ledger.balance(authority), BLOCK_REWARD);
         }
@@ -210,8 +211,7 @@ mod tests {
                 assert_eq!(ledger.balance(account), transaction.len() as u64);
             }
         }
-        assert_eq!(root, ledger.state_root());
-        assert_ne!(root, BalanceLedger::new().state_root());
+        assert_ne!(ledger.state_root(), BalanceLedger::new().state_root());
     }
 
     #[test]

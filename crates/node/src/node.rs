@@ -9,9 +9,11 @@
 //!
 //! - [`Output::Broadcast`]/[`Output::SendTo`] → the length-prefixed TCP
 //!   [`Transport`];
-//! - [`Output::Persist`] → the write-ahead log (own blocks and evidence
-//!   are fsynced before dissemination: crash recovery must never cause
-//!   accidental equivocation or lose a conviction);
+//! - [`Output::Persist`] → the write-ahead log, when the node has one
+//!   ([`NodeConfig::wal_path`]); own blocks and evidence are fsynced
+//!   before dissemination: crash recovery must never cause accidental
+//!   equivocation or lose a conviction. A node without a path keeps no
+//!   log — it has no crash to recover from, so nothing would read one;
 //! - [`Output::Committed`] → the application's commit channel;
 //! - time → [`Input::TimerFired`] from an `Instant`-derived microsecond
 //!   counter, fed once per poll-loop iteration (which bounds every
@@ -19,7 +21,10 @@
 //!
 //! Recovery replays the WAL's [`WalRecord`]s into the engine before the
 //! first input: blocks rebuild the DAG and the produced-round watermark,
-//! evidence records restore convictions.
+//! evidence records restore convictions. Each checkpoint compacts the log
+//! to a window bounded by the GC depth (the retention rule is on
+//! [`NodeConfig::wal_path`]), so neither the log nor compaction grows
+//! with history.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use mahimahi_core::{
@@ -35,7 +40,7 @@ use mahimahi_types::{
     AuthorityIndex, Committee, Decode, Encode, Envelope, Round, TestCommittee, Transaction,
     TxReceipt, Verified,
 };
-use mahimahi_wal::{FileWal, MemStorage, Wal};
+use mahimahi_wal::FileWal;
 use parking_lot::Mutex;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -65,7 +70,10 @@ pub struct NodeConfig {
     pub setup: TestCommittee,
     /// Committer parameters (wave length, leaders per round).
     pub options: CommitterOptions,
-    /// Write-ahead log path; `None` uses a volatile in-memory log.
+    /// Write-ahead log path; `None` runs without a log (nothing survives a
+    /// restart, and no record is encoded). With a path, each checkpoint
+    /// compacts the log to the latest checkpoint, every evidence record,
+    /// blocks at or above the GC floor, and the newest own block below it.
     pub wal_path: Option<PathBuf>,
     /// Mempool bounds and per-block payload budget: pool capacity in
     /// transactions and bytes, plus the `max_block_txs`/`max_block_bytes`
@@ -585,44 +593,6 @@ impl Drop for NodeHandle {
     }
 }
 
-enum AnyWal {
-    File(FileWal),
-    Memory(Wal<MemStorage>),
-}
-
-impl AnyWal {
-    fn append(&mut self, payload: &[u8]) -> Result<u64, mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.append(payload),
-            AnyWal::Memory(wal) => wal.append(payload),
-        }
-    }
-
-    fn sync(&mut self) -> Result<(), mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.sync(),
-            AnyWal::Memory(wal) => wal.sync(),
-        }
-    }
-
-    fn records(&mut self) -> Result<Vec<mahimahi_wal::Record>, mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.records(),
-            AnyWal::Memory(wal) => wal.records(),
-        }
-    }
-
-    /// Replaces the whole log with `payloads` — crash-atomically for file
-    /// logs (temp file + rename + directory fsync), in place for memory
-    /// logs (which have no crash to survive).
-    fn rewrite(&mut self, payloads: &[Vec<u8>]) -> Result<(), mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.rewrite_atomic(payloads),
-            AnyWal::Memory(wal) => wal.rewrite(payloads),
-        }
-    }
-}
-
 /// The store-compaction floor a persisted checkpoint implies: decodes the
 /// record's sequencer snapshot and applies the GC depth. `None` if the
 /// snapshot does not decode (never truncate on a parse failure).
@@ -641,7 +611,8 @@ pub struct ValidatorNode {
     committee: Committee,
     /// Verify-stage sizing, forwarded to the [`AdmissionPipeline`].
     admission: AdmissionConfig,
-    wal: AnyWal,
+    /// The durable log, when [`NodeConfig::wal_path`] is set.
+    wal: Option<FileWal>,
     /// Deferred WAL fsync: set by a durable Persist, flushed before the
     /// next network send (durability-before-dissemination) or at the end
     /// of the batch.
@@ -670,10 +641,12 @@ impl ValidatorNode {
         let committer = Committer::new(committee, config.options);
         let mut engine = ValidatorEngine::honest(config.engine_config(), Box::new(committer));
 
-        let mut wal = match &config.wal_path {
-            Some(path) => AnyWal::File(FileWal::open_path(path)?),
-            None => AnyWal::Memory(Wal::open(MemStorage::new())?),
-        };
+        let mut wal = config
+            .wal_path
+            .as_ref()
+            .map(FileWal::open_path)
+            .transpose()?;
+        let records = wal.as_mut().map(FileWal::records).transpose()?;
 
         // Recovery: replay every decodable record in log order. The
         // engine's pending buffer tolerates out-of-order blocks (e.g.
@@ -683,7 +656,7 @@ impl ValidatorNode {
         // encodings; fall back to that so an upgraded node never forgets
         // rounds it already broadcast (re-producing them under different
         // parents would be accidental equivocation).
-        for record in wal.records()? {
+        for record in records.into_iter().flatten() {
             match WalRecord::from_bytes_exact(&record.payload) {
                 Ok(WalRecord::Block(block)) => engine.restore_block(block),
                 Ok(WalRecord::Evidence(proof)) => engine.restore_evidence(proof),
@@ -946,34 +919,7 @@ impl ValidatorNode {
                     self.flush_wal();
                     self.transport.send(peer as u32, envelope.to_bytes_vec());
                 }
-                Output::Persist(record) => {
-                    // Durability before dissemination: own blocks (the
-                    // engine emits their Persist ahead of the Broadcast)
-                    // and convictions are fsynced before anything else
-                    // leaves this node; peers' blocks can be re-fetched,
-                    // so their records ride the next sync. Checkpoints are
-                    // durable too — the subsequent log truncation is only
-                    // safe once the cut they carry is on disk.
-                    let durable = match &record {
-                        WalRecord::Block(block) => block.author() == self.authority,
-                        WalRecord::Evidence(_) => true,
-                        WalRecord::Checkpoint { .. } => true,
-                    };
-                    let compact_floor = match &record {
-                        WalRecord::Checkpoint { resume, .. } => self
-                            .engine
-                            .config()
-                            .gc_depth
-                            .and_then(|depth| checkpoint_floor(resume, depth)),
-                        _ => None,
-                    };
-                    let _ = self.wal.append(&record.to_bytes_vec());
-                    self.pending_sync |= durable;
-                    if let Some(floor) = compact_floor {
-                        self.flush_wal();
-                        self.compact_wal(floor);
-                    }
-                }
+                Output::Persist(record) => self.persist(&record),
                 Output::Committed(sub_dag) => {
                     if commits.send(sub_dag).is_err() {
                         return Err(());
@@ -1014,10 +960,37 @@ impl ValidatorNode {
         Ok(())
     }
 
+    /// Appends a record to the WAL (a no-op without one).
+    ///
+    /// Durability before dissemination: own blocks (the engine emits their
+    /// Persist ahead of the Broadcast) and convictions are fsynced before
+    /// anything else leaves this node; peers' blocks can be re-fetched, so
+    /// their records ride the next sync. Checkpoints are durable too — the
+    /// log compaction they trigger is only safe once the cut they carry is
+    /// on disk.
+    fn persist(&mut self, record: &WalRecord) {
+        let Some(wal) = self.wal.as_mut() else {
+            return;
+        };
+        let _ = wal.append(&record.to_bytes_vec());
+        match record {
+            WalRecord::Block(block) => self.pending_sync |= block.author() == self.authority,
+            WalRecord::Evidence(_) => self.pending_sync = true,
+            WalRecord::Checkpoint { resume, .. } => {
+                self.pending_sync = true;
+                let depth = self.engine.config().gc_depth;
+                if let Some(floor) = depth.and_then(|depth| checkpoint_floor(resume, depth)) {
+                    self.flush_wal();
+                    self.compact_wal(floor);
+                }
+            }
+        }
+    }
+
     /// Performs the deferred WAL fsync, if one is pending.
     fn flush_wal(&mut self) {
-        if self.pending_sync {
-            let _ = self.wal.sync();
+        if let (true, Some(wal)) = (self.pending_sync, self.wal.as_mut()) {
+            let _ = wal.sync();
             self.pending_sync = false;
         }
     }
@@ -1026,30 +999,43 @@ impl ValidatorNode {
     ///
     /// Safe only because the checkpoint record that triggered it is
     /// already fsynced: recovery restores the checkpoint first and then
-    /// replays the surviving records on top of it. The rewrite keeps
+    /// replays the surviving records on top of it. The rewrite is
+    /// crash-atomic and keeps
     ///
     /// - the *latest* checkpoint record (earlier ones are subsumed),
     /// - every evidence record (convictions must never expire),
-    /// - every own-authored block (the produced-round watermark is the
-    ///   equivocation guard and must survive any number of compactions),
-    /// - peers' blocks at `round >= floor` (still referenced by the
-    ///   post-checkpoint DAG), and
+    /// - every block at `round >= floor` (still referenced by the
+    ///   post-checkpoint DAG),
+    /// - the newest own block below `floor`: the produced-round watermark
+    ///   is the equivocation guard, and it is a maximum, so this one block
+    ///   preserves it across any number of compactions, and
     /// - any record that fails to decode (never drop what we cannot
     ///   classify).
+    ///
+    /// Everything else lies below the floor, so the log stays within the
+    /// GC window however long the node runs.
     fn compact_wal(&mut self, floor: Round) {
-        let Ok(records) = self.wal.records() else {
+        let Some(wal) = self.wal.as_mut() else {
+            return;
+        };
+        let Ok(records) = wal.records() else {
             return;
         };
         let mut kept: Vec<Vec<u8>> = Vec::with_capacity(records.len());
         let mut last_checkpoint: Option<Vec<u8>> = None;
+        let mut newest_own_below: Option<(Round, Vec<u8>)> = None;
         for record in records {
             match WalRecord::from_bytes_exact(&record.payload) {
                 Ok(WalRecord::Checkpoint { .. }) => {
                     last_checkpoint = Some(record.payload);
                 }
+                Ok(WalRecord::Block(block)) if block.round() >= floor => kept.push(record.payload),
                 Ok(WalRecord::Block(block)) => {
-                    if block.author() == self.authority || block.round() >= floor {
-                        kept.push(record.payload);
+                    let newer = newest_own_below
+                        .as_ref()
+                        .is_none_or(|(round, _)| block.round() > *round);
+                    if block.author() == self.authority && newer {
+                        newest_own_below = Some((block.round(), record.payload));
                     }
                 }
                 Ok(WalRecord::Evidence(_)) | Err(_) => kept.push(record.payload),
@@ -1057,10 +1043,12 @@ impl ValidatorNode {
         }
         // The checkpoint leads the rewritten log so recovery installs it
         // before replaying the retained records.
-        let mut payloads = Vec::with_capacity(kept.len() + 1);
-        payloads.extend(last_checkpoint);
-        payloads.extend(kept);
-        let _ = self.wal.rewrite(&payloads);
+        let payloads: Vec<Vec<u8>> = last_checkpoint
+            .into_iter()
+            .chain(newest_own_below.map(|(_, payload)| payload))
+            .chain(kept)
+            .collect();
+        let _ = wal.rewrite_atomic(&payloads);
     }
 }
 
@@ -1068,7 +1056,9 @@ impl ValidatorNode {
 mod tests {
     use super::*;
     use crate::wire::NodeMessage;
-    use mahimahi_types::EquivocationProof;
+    use mahimahi_core::{BalanceLedger, ExecutionState};
+    use mahimahi_types::{Checkpoint, EquivocationProof};
+    use std::collections::VecDeque;
 
     fn wal_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mahimahi-node-{tag}-{}", std::process::id()));
@@ -1204,6 +1194,180 @@ mod tests {
             vec![AuthorityIndex(3)],
             "conviction must survive the restart"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_keeps_the_file_wal_within_the_floor_window() {
+        // Node 0 runs on a file WAL with frequent checkpoints and a short
+        // GC depth, flooding blocks with honest engines 1 and 2 in process
+        // (authority 3 stays silent and is convicted up front). After many
+        // compactions the log must hold only the floor window, and a
+        // restart must still recover the produced round and the conviction.
+        const GC_DEPTH: u64 = 4;
+        const HORIZON: Round = 80;
+        let setup = TestCommittee::new(4, 5);
+        let dir = wal_dir("compaction");
+        let wal_path = dir.join("v0.wal");
+        let config = |authority: u32| {
+            let mut config = NodeConfig::local(authority, setup.clone());
+            config.wal_path = Some(wal_path.clone());
+            config.min_round_interval = Duration::ZERO;
+            config.gc_depth = Some(GC_DEPTH);
+            config.checkpoint_interval = 2;
+            config
+        };
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        let mut node = ValidatorNode::new(config(0), transport).unwrap();
+        let mut peers: Vec<ValidatorEngine> = (1..3)
+            .map(|authority| {
+                let config = config(authority);
+                let committer = Committer::new(setup.committee().clone(), config.options);
+                ValidatorEngine::honest(config.engine_config(), Box::new(committer))
+            })
+            .collect();
+        let (commit_tx, _commit_rx) = unbounded();
+        let (receipt_tx, _receipt_rx) = unbounded();
+        let mut inflight = VecDeque::new();
+        let node_step = |node: &mut ValidatorNode, input, inflight: &mut VecDeque<_>| {
+            let outputs = node.engine.handle(input);
+            for output in &outputs {
+                if let Output::Broadcast(envelope) = output {
+                    inflight.push_back((0, envelope.clone()));
+                }
+            }
+            node.apply(outputs, &commit_tx, &receipt_tx).unwrap();
+        };
+        let evidence = NodeMessage::Evidence(conflicting_pair(&setup, 3));
+        node_step(&mut node, Input::from_envelope(1, evidence), &mut inflight);
+        node_step(&mut node, Input::TimerFired { now: 0 }, &mut inflight);
+        for peer in &mut peers {
+            let from = peer.authority().as_usize();
+            for output in peer.handle(Input::TimerFired { now: 0 }) {
+                if let Output::Broadcast(envelope) = output {
+                    inflight.push_back((from, envelope));
+                }
+            }
+        }
+        while let Some((from, envelope)) = inflight.pop_front() {
+            if matches!(&envelope, Envelope::Block(block) if block.round() > HORIZON) {
+                continue;
+            }
+            if from != 0 {
+                node_step(
+                    &mut node,
+                    Input::from_envelope(from, envelope.clone()),
+                    &mut inflight,
+                );
+            }
+            for peer in peers
+                .iter_mut()
+                .filter(|peer| peer.authority().as_usize() != from)
+            {
+                let to = peer.authority().as_usize();
+                for output in peer.handle(Input::from_envelope(from, envelope.clone())) {
+                    if let Output::Broadcast(envelope) = output {
+                        inflight.push_back((to, envelope));
+                    }
+                }
+            }
+        }
+        let round = node.round();
+        let checkpoints = node.engine.latest_checkpoint().map_or(0, |c| c.position()) / 2;
+        assert!(round > HORIZON, "the flood reached the horizon: {round}");
+        assert!(checkpoints >= 20, "only {checkpoints} compactions");
+        drop(node);
+
+        let records = FileWal::open_path(&wal_path).unwrap().records().unwrap();
+        let records: Vec<WalRecord> = records
+            .iter()
+            .map(|record| WalRecord::from_bytes_exact(&record.payload).unwrap())
+            .collect();
+        let Some(WalRecord::Checkpoint { resume, .. }) = records.first() else {
+            panic!("the compacted log leads with its checkpoint");
+        };
+        let floor = checkpoint_floor(resume, GC_DEPTH).unwrap();
+        let below_floor = records
+            .iter()
+            .filter(|record| matches!(record, WalRecord::Block(block) if block.round() < floor))
+            .count();
+        let in_window = records
+            .iter()
+            .filter(|record| matches!(record, WalRecord::Block(block) if block.round() >= floor))
+            .count() as u64;
+        assert!(below_floor <= 1, "{below_floor} blocks below floor {floor}");
+        assert!(
+            in_window <= 3 * (round + 1 - floor),
+            "{in_window} blocks in rounds {floor}..={round}"
+        );
+        assert!(
+            records.len() as u64 <= 3 + in_window,
+            "{} records for {in_window} in-window blocks",
+            records.len()
+        );
+
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        let recovered = ValidatorNode::new(config(0), transport).unwrap();
+        assert_eq!(recovered.round(), round, "own round recovered");
+        assert_eq!(recovered.convicted(), vec![AuthorityIndex(3)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_keeps_the_newest_own_block_below_the_floor() {
+        // A node whose last own block (round 3) lies far below a persisted
+        // checkpoint's floor, as after state-sync: compaction drops every
+        // other block but keeps that one, so the produced-round watermark
+        // survives the restart.
+        let setup = TestCommittee::new(4, 5);
+        let dir = wal_dir("watermark");
+        let wal_path = dir.join("v0.wal");
+        let mut config = NodeConfig::local(0, setup.clone());
+        config.wal_path = Some(wal_path.clone());
+        config.gc_depth = Some(4);
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        let mut node = ValidatorNode::new(config.clone(), transport).unwrap();
+        let mut dag = mahimahi_dag::DagBuilder::new(setup.clone());
+        dag.add_full_rounds(3);
+        for block in dag.store().iter().filter(|block| block.round() > 0) {
+            node.persist(&WalRecord::Block(block.clone()));
+        }
+        let resume = SequencerSnapshot {
+            position: 1,
+            next_round: 20,
+            consumed_in_round: 0,
+            emitted: Vec::new(),
+        };
+        let ledger = BalanceLedger::new();
+        let checkpoint = Checkpoint::sign(
+            AuthorityIndex(0),
+            resume.position,
+            dag.store().iter().last().unwrap().reference(),
+            ledger.state_root(),
+            resume.digest(),
+            setup.keypair(AuthorityIndex(0)),
+        );
+        node.persist(&WalRecord::Checkpoint {
+            checkpoint,
+            execution: ledger.snapshot(),
+            resume: resume.to_bytes_vec(),
+        });
+        drop(node);
+
+        let records = FileWal::open_path(&wal_path).unwrap().records().unwrap();
+        let blocks: Vec<(AuthorityIndex, Round)> = records
+            .iter()
+            .filter_map(
+                |record| match WalRecord::from_bytes_exact(&record.payload) {
+                    Ok(WalRecord::Block(block)) => Some((block.author(), block.round())),
+                    _ => None,
+                },
+            )
+            .collect();
+        assert_eq!(blocks, vec![(AuthorityIndex(0), 3)]);
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        let recovered = ValidatorNode::new(config, transport).unwrap();
+        assert_eq!(recovered.round(), 3, "own round recovered");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -463,13 +463,20 @@ impl Oracle for StateRootAgreement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mahimahi_core::engine::{EngineConfig, Input, Output};
+    use mahimahi_core::{
+        BalanceLedger, CommittedSubDag, Committer, CommitterOptions, ExecutionState,
+        ValidatorEngine,
+    };
     use mahimahi_crypto::Digest;
     use mahimahi_net::time;
     use mahimahi_sim::{
         Behavior, IngressReport, LatencyChoice, ProtocolChoice, SimConfig, SimReport,
         TxIntegrityReport,
     };
-    use mahimahi_types::{AuthorityIndex, StateRoot, TestCommittee};
+    use mahimahi_types::codec::CodecError;
+    use mahimahi_types::{AuthorityIndex, Envelope, StateRoot, TestCommittee};
+    use std::collections::VecDeque;
 
     fn reference(round: u64, author: u32, tag: u8) -> BlockRef {
         BlockRef {
@@ -813,6 +820,99 @@ mod tests {
         run.state_roots[1] = StateRoot(Digest::new([7; 32]));
         let violation = StateRootAgreement.check(&scenario(), &run);
         assert!(violation.unwrap_err().contains("different state roots"));
+    }
+
+    /// A ledger that disagrees with every `BalanceLedger`: its snapshot,
+    /// and so every root it reports, carries a salt.
+    struct SaltedLedger(BalanceLedger);
+
+    const SALT: &[u8] = b"salt";
+
+    impl ExecutionState for SaltedLedger {
+        fn apply(&mut self, sub_dag: &CommittedSubDag) {
+            self.0.apply(sub_dag);
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            [self.0.snapshot(), SALT.to_vec()].concat()
+        }
+
+        fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+            let ledger = bytes.strip_suffix(SALT).ok_or(CodecError::UnexpectedEnd)?;
+            self.0.restore(ledger)
+        }
+    }
+
+    /// Flood-delivers broadcasts between four honest engines, validator
+    /// `salted` (if any) executing on a [`SaltedLedger`], and returns the
+    /// run the state-root oracle reads: commit logs, every checkpoint each
+    /// validator produced, and the final roots.
+    fn engine_run(salted: Option<usize>) -> ScenarioRun {
+        let setup = TestCommittee::new(4, 7);
+        let mut engines: Vec<ValidatorEngine> = (0..4)
+            .map(|authority| {
+                let mut config = EngineConfig::new(AuthorityIndex(authority), setup.clone());
+                config.checkpoint_interval = 4;
+                let committer =
+                    Committer::new(setup.committee().clone(), CommitterOptions::mahi_mahi_5(2));
+                let engine = ValidatorEngine::honest(config, Box::new(committer));
+                if salted == Some(authority as usize) {
+                    engine.with_execution(Box::new(SaltedLedger(BalanceLedger::new())))
+                } else {
+                    engine
+                }
+            })
+            .collect();
+        let mut checkpoints = vec![Vec::new(); engines.len()];
+        let mut inflight = VecDeque::new();
+        let mut route = |from: usize, outputs: Vec<Output>, inflight: &mut VecDeque<_>| {
+            for output in outputs {
+                match output {
+                    Output::Broadcast(envelope) => inflight.push_back((from, envelope)),
+                    Output::CheckpointProduced(checkpoint) => checkpoints[from].push(checkpoint),
+                    _ => {}
+                }
+            }
+        };
+        for (from, engine) in engines.iter_mut().enumerate() {
+            route(
+                from,
+                engine.handle(Input::TimerFired { now: 0 }),
+                &mut inflight,
+            );
+        }
+        while let Some((from, envelope)) = inflight.pop_front() {
+            if matches!(&envelope, Envelope::Block(block) if block.round() > 12) {
+                continue;
+            }
+            for (to, engine) in engines.iter_mut().enumerate().filter(|(to, _)| *to != from) {
+                let outputs = engine.handle(Input::from_envelope(from, envelope.clone()));
+                route(to, outputs, &mut inflight);
+            }
+        }
+        let mut run = run_with_logs(engines.iter().map(|e| e.commit_log().to_vec()).collect());
+        run.state_roots = engines.iter().map(ValidatorEngine::state_root).collect();
+        run.checkpoints = checkpoints;
+        run
+    }
+
+    #[test]
+    fn state_root_agreement_reports_a_diverging_ledger_on_real_engines() {
+        let honest = engine_run(None);
+        assert!(honest
+            .checkpoints
+            .iter()
+            .all(|produced| !produced.is_empty()));
+        assert!(StateRootAgreement.check(&scenario(), &honest).is_ok());
+
+        let mut salted = engine_run(Some(2));
+        assert_eq!(salted.logs, honest.logs, "execution never steers consensus");
+        let violation = StateRootAgreement.check(&scenario(), &salted).unwrap_err();
+        assert!(violation.contains("attest different states"), "{violation}");
+        // Past the checkpoints, the final roots alone expose it too.
+        salted.checkpoints = vec![Vec::new(); 4];
+        let violation = StateRootAgreement.check(&scenario(), &salted).unwrap_err();
+        assert!(violation.contains("different state roots"), "{violation}");
     }
 
     #[test]

@@ -368,29 +368,6 @@ impl<S: Storage> Wal<S> {
         Ok(offset)
     }
 
-    /// Replaces the log's contents with `payloads` (compaction), in place:
-    /// truncate to zero, re-append, sync. **Not crash-atomic** — a crash
-    /// mid-rewrite loses records. File-backed logs should use
-    /// [`FileWal::rewrite_atomic`] instead; this variant serves in-memory
-    /// logs and tests, where there is no crash window.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any payload exceeds [`MAX_RECORD_BYTES`] or on I/O error.
-    pub fn rewrite(&mut self, payloads: &[Vec<u8>]) -> Result<(), WalError> {
-        for payload in payloads {
-            if payload.len() > MAX_RECORD_BYTES {
-                return Err(WalError::RecordTooLarge(payload.len()));
-            }
-        }
-        self.storage.truncate(0)?;
-        self.tail = 0;
-        for payload in payloads {
-            self.append(payload)?;
-        }
-        self.sync()
-    }
-
     /// Forces durability of all appended records.
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.storage.sync()
@@ -606,23 +583,6 @@ mod tests {
             assert_eq!(records[0].payload, b"persisted");
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn rewrite_replaces_contents_in_place() {
-        let (mut wal, storage) = mem_wal();
-        wal.append(b"old-one").unwrap();
-        wal.append(b"old-two").unwrap();
-        wal.append(b"keep").unwrap();
-        wal.rewrite(&[b"keep".to_vec(), b"new".to_vec()]).unwrap();
-        let records = wal.records().unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].payload, b"keep");
-        assert_eq!(records[1].payload, b"new");
-        // Appends continue from the rewritten tail, and a reopen agrees.
-        wal.append(b"after").unwrap();
-        let mut reopened = Wal::open(storage).unwrap();
-        assert_eq!(reopened.records().unwrap().len(), 3);
     }
 
     #[test]
