@@ -6,9 +6,9 @@
 //! cost of both paths must stay near-flat as the committee grows, because
 //! every per-message data structure is either O(1) or a fixed-width bitset.
 //! With `MAHIMAHI_SCALE_GATE=1` the bench additionally enforces the CI gate
-//! — per-block admission at n = 50 within 3× of n = 4 — and exits non-zero
-//! on violation (the `committee_scale` binary always enforces it and writes
-//! the `bench-results/` baseline).
+//! — per-block admission at n = 50 within 3× of n = 4, on the median of
+//! repeated runs — and exits non-zero on violation (the `committee_scale`
+//! binary always enforces it and writes the `bench-results/` baseline).
 
 use bench::scale::{self, ADMISSION_RATIO_BUDGET, SCALE_COMMITTEES};
 use criterion::{black_box, BatchSize, Criterion};
@@ -59,7 +59,12 @@ fn bench_quorum_tally(c: &mut Criterion) {
 
 /// Machine-readable per-block costs plus the (opt-in) ≤ 3× CI gate.
 fn scale_gate(_c: &mut Criterion) {
-    let points = scale::measure_all();
+    let gated = std::env::var_os("MAHIMAHI_SCALE_GATE").is_some();
+    let points = if gated {
+        scale::median_gate()
+    } else {
+        scale::measure_all()
+    };
     for point in &points {
         println!(
             "scale-gate: admission_per_block_ns n={} {:.1}",
@@ -72,13 +77,13 @@ fn scale_gate(_c: &mut Criterion) {
     }
     let ratio = scale::admission_ratio(&points);
     println!("scale-gate: admission_n50_over_n4 {ratio:.2}");
-    if std::env::var_os("MAHIMAHI_SCALE_GATE").is_some() {
+    if gated {
         assert!(
             ratio <= ADMISSION_RATIO_BUDGET,
-            "per-block admission cost grew {ratio:.2}× from n=4 to n=50 \
+            "per-block admission cost grew {ratio:.2}× (median) from n=4 to n=50 \
              (budget: {ADMISSION_RATIO_BUDGET:.1}×)"
         );
-        println!("scale-gate: PASS (admission {ratio:.2}x <= {ADMISSION_RATIO_BUDGET:.1}x)");
+        println!("scale-gate: PASS (median admission {ratio:.2}x <= {ADMISSION_RATIO_BUDGET:.1}x)");
     }
 }
 

@@ -11,11 +11,13 @@
 //! ([`ValidatorEngine::handle_verified`]) stays deterministic because it
 //! only ever sees that re-sequenced stream.
 //!
-//! Invalid inputs — undecodable frames, blocks with bad signatures or coin
-//! shares, unverifiable evidence — are dropped by the verify stage and
-//! never reach the core. Dropping them is output-equivalent to the serial
-//! path: [`ValidatorEngine::handle`] rejects the same inputs with no
-//! outputs and no state change.
+//! Every block is checked by one [`Block::verify`] call: its own Schnorr
+//! signature and its own coin-share proof. Invalid inputs — undecodable frames,
+//! blocks that fail [`Block::verify`], unverifiable evidence — are dropped
+//! by the verify stage and never reach the core. Dropping them is
+//! output-equivalent to the serial path: [`ValidatorEngine::handle`] runs
+//! the same check and rejects the same inputs with no outputs and no state
+//! change.
 //!
 //! # Determinism contract
 //!
@@ -24,14 +26,13 @@
 //! outputs byte for byte (the engine re-verifies deterministically, and a
 //! verification that succeeds changes nothing).
 //!
+//! [`Block::verify`]: mahimahi_types::Block::verify
 //! [`ValidatorEngine::handle`]: crate::engine::ValidatorEngine::handle
 //! [`ValidatorEngine::handle_verified`]: crate::engine::ValidatorEngine::handle_verified
 
 use crossbeam::channel::{self, Receiver, Sender};
-use mahimahi_crypto::coin::CoinShare;
-use mahimahi_crypto::schnorr::{self, PublicKey, Signature};
 use mahimahi_telemetry::{Stage, StageStats};
-use mahimahi_types::{Block, Committee, Decode, Envelope, Verified};
+use mahimahi_types::{Committee, Decode, Envelope, Verified};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -352,16 +353,18 @@ fn verify_job(committee: &Committee, job: Job) -> Option<Input> {
 /// client transactions, acks, sync requests) pass through untouched.
 fn verify_input(committee: &Committee, input: Input) -> Option<Input> {
     match input {
-        Input::BlockReceived { from, block } => verify_blocks(committee, vec![block])
-            .pop()
-            .map(|block| Input::BlockReceived { from, block }),
-        Input::ProposalReceived { from, block } => verify_blocks(committee, vec![block])
-            .pop()
-            .map(|block| Input::ProposalReceived { from, block }),
-        Input::SyncReply { from, blocks } => {
+        Input::BlockReceived { from, block } => block
+            .verify(committee)
+            .is_ok()
+            .then_some(Input::BlockReceived { from, block }),
+        Input::ProposalReceived { from, block } => block
+            .verify(committee)
+            .is_ok()
+            .then_some(Input::ProposalReceived { from, block }),
+        Input::SyncReply { from, mut blocks } => {
             // Invalid blocks are filtered, valid ones kept: exactly what the
             // serial path's per-block accept loop converges to.
-            let blocks = verify_blocks(committee, blocks);
+            blocks.retain(|block| block.verify(committee).is_ok());
             (!blocks.is_empty()).then_some(Input::SyncReply { from, blocks })
         }
         Input::EvidenceReceived { from, proof } => proof
@@ -372,80 +375,13 @@ fn verify_input(committee: &Committee, input: Input) -> Option<Input> {
     }
 }
 
-/// Verifies a batch of blocks, returning the valid ones in input order.
-///
-/// Structure is checked per block; the two expensive cryptographic
-/// conditions are then checked across the whole batch — Schnorr signatures
-/// through the multi-scalar combined equation, coin-share proofs with the
-/// per-round base derived once per round — with failures attributed to and
-/// dropped from the specific offending blocks.
-fn verify_blocks(committee: &Committee, blocks: Vec<Arc<Block>>) -> Vec<Arc<Block>> {
-    let mut alive: Vec<bool> = blocks
-        .iter()
-        .map(|block| block.verify_structure(committee).is_ok())
-        .collect();
-
-    // Signatures, batched. Genesis blocks (round 0) are unsigned: the
-    // structural pass fully validated them.
-    let signed: Vec<usize> = blocks
-        .iter()
-        .enumerate()
-        .filter(|(index, block)| alive[*index] && block.round() > 0)
-        .map(|(index, _)| index)
-        .collect();
-    let messages: Vec<Vec<u8>> = signed.iter().map(|&i| blocks[i].signed_bytes()).collect();
-    let items: Vec<(&[u8], PublicKey, Signature)> = signed
-        .iter()
-        .zip(&messages)
-        .map(|(&i, message)| {
-            let block = &blocks[i];
-            let public = committee
-                .public_key(block.author())
-                .expect("membership checked structurally");
-            (message.as_slice(), *public, *block.signature())
-        })
-        .collect();
-    if let Err(culprits) = schnorr::batch_verify_attributed(&items) {
-        for culprit in culprits {
-            alive[signed[culprit]] = false;
-        }
-    }
-
-    // Coin-share proofs, batched per round (one base derivation per round).
-    let mut by_round: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (index, block) in blocks.iter().enumerate() {
-        if alive[index] && block.round() > 0 {
-            by_round.entry(block.round()).or_default().push(index);
-        }
-    }
-    for (round, indices) in by_round {
-        let shares: Vec<CoinShare> = indices
-            .iter()
-            .map(|&i| {
-                *blocks[i]
-                    .coin_share()
-                    .expect("presence checked structurally")
-            })
-            .collect();
-        if let Err(culprits) = committee.coin_public().verify_shares(round, &shares) {
-            for culprit in culprits {
-                alive[indices[culprit]] = false;
-            }
-        }
-    }
-
-    blocks
-        .into_iter()
-        .zip(alive)
-        .filter_map(|(block, keep)| keep.then_some(block))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mahimahi_dag::DagBuilder;
-    use mahimahi_types::{AuthorityIndex, Encode, TestCommittee, Transaction};
+    use mahimahi_types::{
+        AuthorityIndex, Block, BlockBuilder, Encode, TestCommittee, Transaction, ValidationError,
+    };
 
     fn peer_blocks(setup: &TestCommittee, rounds: usize) -> Vec<Arc<Block>> {
         let mut dag = DagBuilder::new(setup.clone());
@@ -464,21 +400,90 @@ mod tests {
         Block::from_bytes_exact(&bytes).unwrap().into_arc()
     }
 
+    /// A correctly signed block whose coin share is valid for round 99,
+    /// not for the block's own round.
+    fn wrong_round_coin_share(setup: &TestCommittee, block: &Block) -> Arc<Block> {
+        BlockBuilder::new(block.author(), block.round())
+            .parents(block.parents().to_vec())
+            .coin_share(setup.coin_secret(block.author()).share_for_round(99))
+            .build(setup)
+            .into_arc()
+    }
+
     #[test]
-    fn batched_block_verification_matches_serial() {
+    fn wrong_round_coin_share_is_rejected_at_admission() {
         let setup = TestCommittee::new(4, 11);
         let committee = setup.committee();
-        let mut blocks = peer_blocks(&setup, 3);
-        blocks[1] = tamper(&blocks[1]);
-        blocks[5] = tamper(&blocks[5]);
-        let kept = verify_blocks(committee, blocks.clone());
-        let expected: Vec<Arc<Block>> = blocks
-            .iter()
-            .filter(|block| block.verify(committee).is_ok())
-            .cloned()
-            .collect();
-        assert_eq!(kept.len(), blocks.len() - 2);
-        assert_eq!(kept, expected);
+        let blocks = peer_blocks(&setup, 2);
+        let bad_share = wrong_round_coin_share(&setup, &blocks[2]);
+        let stale_signature = tamper(&blocks[1]);
+        let author_key = committee.public_key(bad_share.author()).unwrap();
+        assert!(
+            author_key
+                .verify(&bad_share.signed_bytes(), bad_share.signature())
+                .is_ok(),
+            "the signature itself must be valid"
+        );
+        assert_eq!(
+            bad_share.verify(committee),
+            Err(ValidationError::InvalidCoinShare)
+        );
+
+        // Alone, each bad block is dropped and counted, inline and on a
+        // worker pool alike.
+        for verify_workers in [0, 2] {
+            let mut pipeline = AdmissionPipeline::new(
+                AdmissionConfig {
+                    verify_workers,
+                    queue_bound: 16,
+                },
+                committee.clone(),
+            );
+            pipeline.submit(Input::BlockReceived {
+                from: 2,
+                block: bad_share.clone(),
+            });
+            pipeline.submit(Input::ProposalReceived {
+                from: 2,
+                block: bad_share.clone(),
+            });
+            pipeline.submit(Input::BlockReceived {
+                from: 1,
+                block: stale_signature.clone(),
+            });
+            pipeline.submit(Input::BlockReceived {
+                from: 0,
+                block: blocks[0].clone(),
+            });
+            let ready = pipeline.flush();
+            assert_eq!(ready.len(), 1, "workers: {verify_workers}");
+            assert!(
+                matches!(&*ready[0], Input::BlockReceived { block, .. } if *block == blocks[0])
+            );
+            assert_eq!(pipeline.rejected(), 3, "workers: {verify_workers}");
+            assert_eq!(pipeline.verified(), 1, "workers: {verify_workers}");
+        }
+
+        // Inside a sync reply, only the valid blocks survive.
+        let reply = Input::SyncReply {
+            from: 3,
+            blocks: vec![
+                blocks[0].clone(),
+                bad_share,
+                blocks[3].clone(),
+                stale_signature,
+                blocks[4].clone(),
+            ],
+        };
+        match verify_input(committee, reply) {
+            Some(Input::SyncReply { blocks: kept, .. }) => {
+                assert_eq!(
+                    kept,
+                    vec![blocks[0].clone(), blocks[3].clone(), blocks[4].clone()]
+                );
+            }
+            other => panic!("unexpected verify outcome: {other:?}"),
+        }
     }
 
     #[test]

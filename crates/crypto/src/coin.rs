@@ -188,45 +188,6 @@ impl CoinPublic {
         )
     }
 
-    /// Verifies a batch of coin shares for one round, naming the offenders.
-    ///
-    /// [`CoinPublic::verify_share`] rederives the per-round base point
-    /// `h_r` on every call; here it is hashed once for the whole batch and
-    /// the proofs are checked through
-    /// [`dleq::batch_verify_attributed`](crate::dleq::batch_verify_attributed).
-    /// Shares with an out-of-range index are reported as culprits alongside
-    /// proof failures.
-    ///
-    /// # Errors
-    ///
-    /// Returns the sorted indices (positions in `shares`, not authority
-    /// indexes) of every share that fails.
-    pub fn verify_shares(&self, round: u64, shares: &[CoinShare]) -> Result<(), Vec<usize>> {
-        let base = round_base(round);
-        let generator = GroupElement::generator();
-        let mut culprits = Vec::new();
-        let mut statements = Vec::with_capacity(shares.len());
-        let mut positions = Vec::with_capacity(shares.len());
-        for (position, share) in shares.iter().enumerate() {
-            match self.share_keys.get(share.index as usize) {
-                Some(key) => {
-                    statements.push((generator, *key, base, share.sigma, share.proof));
-                    positions.push(position);
-                }
-                None => culprits.push(position),
-            }
-        }
-        if let Err(failed) = crate::dleq::batch_verify_attributed(&statements) {
-            culprits.extend(failed.into_iter().map(|index| positions[index]));
-        }
-        if culprits.is_empty() {
-            Ok(())
-        } else {
-            culprits.sort_unstable();
-            Err(culprits)
-        }
-    }
-
     /// Combines at least `threshold` distinct valid shares into the round's
     /// coin value.
     ///
@@ -390,26 +351,6 @@ mod tests {
             public.verify_share(8, &share),
             Err(CryptoError::InvalidCoinShare)
         );
-    }
-
-    #[test]
-    fn batched_share_verification_matches_per_share() {
-        let (secrets, public) = dealt(4, 3);
-        let mut shares: Vec<CoinShare> = secrets.iter().map(|s| s.share_for_round(7)).collect();
-        assert!(public.verify_shares(7, &shares).is_ok());
-        assert!(public.verify_shares(7, &[]).is_ok());
-
-        // Poison one share with a wrong-round sigma and one with an
-        // out-of-range index: both must be named.
-        shares[1] = secrets[1].share_for_round(8);
-        shares[3].index = 17;
-        assert_eq!(public.verify_shares(7, &shares), Err(vec![1, 3]));
-        for (position, share) in shares.iter().enumerate() {
-            assert_eq!(
-                public.verify_share(7, share).is_ok(),
-                ![1, 3].contains(&position)
-            );
-        }
     }
 
     #[test]

@@ -122,44 +122,6 @@ impl DleqProof {
     }
 }
 
-/// One statement of a DLEQ batch: the proof plus the four public group
-/// elements it speaks about (`log_{base_a}(a) == log_{base_b}(b)`).
-pub type DleqStatement = (
-    GroupElement,
-    GroupElement,
-    GroupElement,
-    GroupElement,
-    DleqProof,
-);
-
-/// Verifies a batch of DLEQ statements and, on failure, names the offenders.
-///
-/// Chaum–Pedersen proofs in challenge form do **not** admit a multi-scalar
-/// collapse: recomputing each Fiat–Shamir challenge requires the per-item
-/// commitments individually, so every proof is checked on its own. Batching
-/// still pays off for callers because shared per-batch work (e.g. deriving
-/// the per-round coin base) is hoisted out of the loop and failures are
-/// attributed in one pass instead of ad-hoc caller-side retries.
-///
-/// # Errors
-///
-/// Returns the sorted indices of every statement whose proof fails.
-pub fn batch_verify_attributed(statements: &[DleqStatement]) -> Result<(), Vec<usize>> {
-    let culprits: Vec<usize> = statements
-        .iter()
-        .enumerate()
-        .filter(|(_, (base_a, a, base_b, b, proof))| {
-            proof.verify(*base_a, *a, *base_b, *b).is_err()
-        })
-        .map(|(index, _)| index)
-        .collect();
-    if culprits.is_empty() {
-        Ok(())
-    } else {
-        Err(culprits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,23 +194,6 @@ mod tests {
             DleqProof::prove(g, pk, h, sigma, x),
             DleqProof::prove(g, pk, h, sigma, x)
         );
-    }
-
-    #[test]
-    fn batched_statements_attribute_failures() {
-        let statements: Vec<DleqStatement> = (0..5u64)
-            .map(|i| {
-                let (g, pk, h, sigma, x) = setup(100 + i, 4);
-                (g, pk, h, sigma, DleqProof::prove(g, pk, h, sigma, x))
-            })
-            .collect();
-        assert!(batch_verify_attributed(&statements).is_ok());
-
-        let mut poisoned = statements.clone();
-        poisoned[1].3 = poisoned[2].3; // sigma from a different statement
-        poisoned[4].1 = poisoned[0].1;
-        assert_eq!(batch_verify_attributed(&poisoned), Err(vec![1, 4]));
-        assert!(batch_verify_attributed(&[]).is_ok());
     }
 
     #[test]

@@ -351,11 +351,19 @@ impl CpuCosts {
     }
 
     /// Cost of verifying `blocks` uncertified blocks totalling
-    /// `total_bytes` together, through the admission pipeline's batched
-    /// crypto path: the first block pays full price, every further block
-    /// pays the batch-discounted signature and coin-share cost (the
-    /// multi-scalar Schnorr combination and the shared per-round coin
-    /// base), and hashing remains proportional to the bytes.
+    /// `total_bytes` together: the first block pays full price, every
+    /// further block pays the batch-discounted signature and coin-share
+    /// cost, and hashing remains proportional to the bytes.
+    ///
+    /// The discount is a modelled assumption that the node does not
+    /// implement: its admission pipeline runs one [`Block::verify`] per
+    /// block, because a combined batch equation measured slower than the
+    /// serial loop. The price is kept so simulated runs stay comparable
+    /// with earlier baselines; re-pricing sync replies and evidence as
+    /// per-block [`CpuCosts::block_verify`] sums changes every simulated
+    /// timeline.
+    ///
+    /// [`Block::verify`]: mahimahi_types::Block::verify
     pub fn block_verify_batched(&self, total_bytes: usize, blocks: usize) -> Time {
         if blocks == 0 {
             return 0;

@@ -426,9 +426,10 @@ impl Simulation {
             SimMessage::Ack { .. } => cpu.signature_verify,
             SimMessage::Certificate { signatures, .. } => cpu.certificate_verify(*signatures),
             SimMessage::Request(_) => 1,
-            // Sync replies go through the admission pipeline's batched
-            // crypto path: one multi-scalar signature check and a shared
-            // per-round coin base across the whole reply.
+            // Sync replies are priced with the modelled batch discount
+            // (`CpuCosts::block_verify_batched`), which the node does not
+            // implement: its verify stage runs one `Block::verify` per
+            // block.
             SimMessage::Response(blocks) => {
                 let total_bytes: usize = blocks
                     .iter()
@@ -436,8 +437,8 @@ impl Simulation {
                     .sum();
                 cpu.block_verify_batched(total_bytes, blocks.len())
             }
-            // A proof is two block verifications, batched the same way
-            // (evidence is only as good as its signatures).
+            // A proof is two block verifications (evidence is only as good
+            // as its signatures), priced with the same modelled discount.
             SimMessage::Evidence(proof) => {
                 let total_bytes: usize = [proof.first(), proof.second()]
                     .iter()

@@ -202,8 +202,8 @@ impl Block {
     }
 
     /// The exact bytes the author signed: domain separator ‖ content
-    /// digest. Batch verifiers pair this with [`Block::signature`] and the
-    /// author's public key.
+    /// digest. Verifiers outside [`Block::verify`] pair this with
+    /// [`Block::signature`] and the author's public key.
     pub fn signed_bytes(&self) -> Vec<u8> {
         Self::signing_message(&self.reference.digest)
     }
@@ -236,74 +236,27 @@ impl Block {
     ///
     /// Returns the first violated condition as a [`ValidationError`].
     pub fn verify(&self, committee: &Committee) -> Result<(), ValidationError> {
-        if self.verify_prelude(committee)? {
-            return Ok(()); // genesis: fixed by convention, nothing signed
+        if !committee.exists(self.author) {
+            return Err(ValidationError::UnknownAuthority(self.author));
+        }
+        if self.round == 0 {
+            // Genesis blocks are fixed by convention; nothing is signed.
+            if *self != Block::genesis(self.author) {
+                return Err(ValidationError::MalformedGenesis);
+            }
+            return Ok(());
         }
 
         let public_key = committee
             .public_key(self.author)
-            .expect("author existence checked in the prelude");
+            .expect("author existence checked above");
         let message = Self::signing_message(&self.reference.digest);
         if public_key.verify(&message, &self.signature).is_err() {
             return Err(ValidationError::InvalidSignature);
         }
 
-        self.verify_parents(committee)?;
-
-        // Coin share: present, owned by the author, valid for this round.
-        let share = self.coin_share_checked()?;
-        if committee
-            .coin_public()
-            .verify_share(self.round, share)
-            .is_err()
-        {
-            return Err(ValidationError::InvalidCoinShare);
-        }
-        Ok(())
-    }
-
-    /// The cheap, structural subset of [`Block::verify`]: committee
-    /// membership, the genesis convention, parent rules, and coin-share
-    /// presence/ownership — everything except the signature and the
-    /// coin-share proof.
-    ///
-    /// The admission pipeline runs this per block and then checks the two
-    /// expensive cryptographic conditions across a whole batch at once
-    /// (`schnorr::batch_verify_attributed`, `CoinPublic::verify_shares`);
-    /// a block passing both this and the batched checks satisfies exactly
-    /// the conditions of [`Block::verify`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated structural condition.
-    pub fn verify_structure(&self, committee: &Committee) -> Result<(), ValidationError> {
-        if self.verify_prelude(committee)? {
-            return Ok(());
-        }
-        self.verify_parents(committee)?;
-        self.coin_share_checked()?;
-        Ok(())
-    }
-
-    /// Membership and genesis checks; `Ok(true)` means the block is a
-    /// (valid) genesis block with nothing further to verify.
-    fn verify_prelude(&self, committee: &Committee) -> Result<bool, ValidationError> {
-        if !committee.exists(self.author) {
-            return Err(ValidationError::UnknownAuthority(self.author));
-        }
-        if self.round == 0 {
-            // Genesis blocks are fixed by convention.
-            if *self != Block::genesis(self.author) {
-                return Err(ValidationError::MalformedGenesis);
-            }
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Parent structure: own previous block first, no duplicates, all
-    /// older than this block, quorum of distinct authors at round - 1.
-    fn verify_parents(&self, committee: &Committee) -> Result<(), ValidationError> {
+        // Parents: own previous block first, no duplicates, all older than
+        // this block, quorum of distinct authors at round - 1.
         let Some(first) = self.parents.first() else {
             return Err(ValidationError::MissingParents);
         };
@@ -332,18 +285,22 @@ impl Block {
                 needed: committee.quorum_threshold(),
             });
         }
-        Ok(())
-    }
 
-    /// Coin-share presence and ownership (not the proof).
-    fn coin_share_checked(&self) -> Result<&CoinShare, ValidationError> {
+        // Coin share: present, owned by the author, valid for this round.
         let Some(share) = &self.coin_share else {
             return Err(ValidationError::MissingCoinShare);
         };
         if share.index() != self.author.as_u64() {
             return Err(ValidationError::ForeignCoinShare);
         }
-        Ok(share)
+        if committee
+            .coin_public()
+            .verify_share(self.round, share)
+            .is_err()
+        {
+            return Err(ValidationError::InvalidCoinShare);
+        }
+        Ok(())
     }
 
     /// Total serialized size in bytes (used by the bandwidth model).
